@@ -29,11 +29,10 @@ race:
 # guard (which -race skips, so it runs plain here), race-enabled hollow
 # smokes (64 in-process agents, 5 slots, 5% killed mid-run — the degraded-mode
 # cycle end to end, once under the single controller and once under the
-# 2-partition control plane), a race-enabled rerun of the sparse/decomposed
-# solver suites (the pooled block solves only prove their disjoint-write
-# determinism when raced) plus the cross-solver agreement smoke, and a short
-# fuzz smoke of the native fuzz targets, including the snapshot-restore,
-# wire-frame, and incremental-refresh surfaces.
+# 2-partition control plane), a race-enabled rerun of the sparse solver suite
+# (the default slot solver, pinned bit-identical to the dense reference), and
+# a short fuzz smoke of the native fuzz targets, including the
+# snapshot-restore, wire-frame, and incremental-refresh surfaces.
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -41,8 +40,7 @@ tier1:
 	$(GO) test -race -count=1 ./internal/runner
 	$(GO) test -race -count=1 ./internal/serve/... ./cmd/grefar-serve
 	$(GO) test -race -count=1 ./internal/controller ./internal/controlplane ./internal/transport/... ./internal/experiments ./internal/hollow
-	$(GO) test -race -count=1 -run 'TestSparse|TestDecomposed|TestSharingADMM' ./internal/core ./internal/solve
-	$(GO) test -count=1 -run TestCrossCheckDecomposed ./internal/invariant
+	$(GO) test -race -count=1 -run TestSparse ./internal/core
 	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05
 	$(GO) run -race ./cmd/grefar-hollow -agents 64 -slots 5 -kill-frac 0.05 -partitions 2
 	$(GO) test -count=1 -run TestDecideAllocationBudget .
@@ -94,11 +92,10 @@ bench-slot:
 
 # SLOT_BENCHES is the set recorded in BENCH_slot.json: the per-slot solver
 # cost on the reference cluster (with and without the warm-started away-step
-# path) plus the large-instance N=200/J=100 arms (dense, sparse, decomposed,
-# pooled decomposed) at ~10% active-pair density. DIST_BENCHES is
-# the set recorded in BENCH_distributed.json: the 3-agent point-to-point
-# controller round, the hollow-fleet sweep at 100/500/1000/2000 agents, and
-# the partitioned-control-plane cells (agents x partitions).
+# path) plus the large N=200/J=100 instance at ~10% active-pair density.
+# DIST_BENCHES is the set recorded in BENCH_distributed.json: the 3-agent
+# point-to-point controller round, the hollow-fleet sweep at 100/500/1000/2000
+# agents, and the partitioned-control-plane cells (agents x partitions).
 SLOT_BENCHES = BenchmarkSlotDecision$$
 DIST_BENCHES = BenchmarkDistributedSlot$$|BenchmarkHollowSlot/|BenchmarkPartitionedSlot/
 BENCHCOUNT ?= 3
@@ -113,11 +110,11 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -out BENCH_distributed.json
 
 # bench-compare re-runs the same benchmarks and fails on >15% ns/op or
-# allocs/op regressions: the beta=100 slot decisions (cold and warm) and the
-# N=200/J=100 large-instance arms against BENCH_slot.json (the benchjson
-# default guard covers both families), and the distributed slot ticks
-# (point-to-point and every
-# hollow fleet size) against BENCH_distributed.json; other benchmarks warn.
+# allocs/op regressions, or on a guarded baseline benchmark missing from the
+# run: the beta=100 slot decisions (cold and warm) and the N=200/J=100 large
+# instance against BENCH_slot.json (the benchjson default guard covers both
+# families), and the distributed slot ticks (point-to-point and every hollow
+# fleet size) against BENCH_distributed.json; other benchmarks warn.
 bench-compare:
 	$(GO) test -run '^$$' -bench '$(SLOT_BENCHES)' -benchmem -count=$(BENCHCOUNT) . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_slot.json -max-regress 0.15

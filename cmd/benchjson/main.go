@@ -16,12 +16,15 @@
 // In -compare mode the exit status is nonzero when any benchmark matching
 // -guard (default: the beta=100 and large-instance slot-decision cases, the
 // solver hot paths) regresses more than -max-regress in ns/op or allocs/op
-// against the recorded baseline. Other shared benchmarks are reported but do
-// not fail the run, and benchmarks present on only one side are ignored.
+// against the recorded baseline, or is missing from the run altogether (a
+// renamed or deleted guarded benchmark must not pass vacuously). Other
+// baseline benchmarks are reported, regressed or missing, but do not fail
+// the run; benchmarks present only in the run are ignored.
 //
-// -filter restricts the parsed results to names matching a regexp before
-// anything else happens — useful for recording or guarding one benchmark
-// family out of a wider run. An input with no matching results is an error.
+// -filter restricts the parsed results, and in -compare mode the baseline,
+// to names matching a regexp before anything else happens — useful for
+// recording or guarding one benchmark family out of a wider run. An input
+// with no matching results is an error.
 package main
 
 import (
@@ -143,6 +146,28 @@ func compare(w io.Writer, baseline, current map[string]Result, guard *regexp.Reg
 	return bad
 }
 
+// missing reports the baseline benchmarks that have no result in the current
+// run and returns the guarded ones, which fail the comparison.
+func missing(w io.Writer, baseline, current map[string]Result, guard *regexp.Regexp) []string {
+	var names []string
+	for name := range baseline {
+		if _, ok := current[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sortStrings(names)
+	var bad []string
+	for _, name := range names {
+		status := "warn"
+		if guard.MatchString(name) {
+			status = "FAIL"
+			bad = append(bad, name)
+		}
+		fmt.Fprintf(w, "%-4s %-50s missing from this run\n", status, name)
+	}
+	return bad
+}
+
 // sortStrings is an insertion sort; the name lists here are tiny and this
 // keeps the command free of incidental imports.
 func sortStrings(s []string) {
@@ -174,8 +199,9 @@ func run(in io.Reader, out io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
+	var filter *regexp.Regexp
 	if *filterExpr != "" {
-		filter, err := regexp.Compile(*filterExpr)
+		filter, err = regexp.Compile(*filterExpr)
 		if err != nil {
 			return fmt.Errorf("bad -filter: %v", err)
 		}
@@ -209,12 +235,23 @@ func run(in io.Reader, out io.Writer, args []string) error {
 		if err := json.Unmarshal(buf, &baseline); err != nil {
 			return fmt.Errorf("%s: %v", *comparePath, err)
 		}
-		if bad := compare(out, baseline, current, guard, *maxRegress); len(bad) > 0 {
-			for _, r := range bad {
-				fmt.Fprintf(out, "regression: %s %s %.1f -> %.1f exceeds %.0f%% budget\n",
-					r.name, r.metric, r.old, r.new, 100**maxRegress)
+		for name := range baseline {
+			if filter != nil && !filter.MatchString(name) {
+				delete(baseline, name)
 			}
-			return fmt.Errorf("%d guarded benchmark metric(s) regressed beyond %.0f%%", len(bad), 100**maxRegress)
+		}
+		bad := compare(out, baseline, current, guard, *maxRegress)
+		gone := missing(out, baseline, current, guard)
+		for _, r := range bad {
+			fmt.Fprintf(out, "regression: %s %s %.1f -> %.1f exceeds %.0f%% budget\n",
+				r.name, r.metric, r.old, r.new, 100**maxRegress)
+		}
+		for _, name := range gone {
+			fmt.Fprintf(out, "missing: guarded benchmark %s has no result in this run\n", name)
+		}
+		if len(bad) > 0 || len(gone) > 0 {
+			return fmt.Errorf("%d guarded benchmark metric(s) regressed beyond %.0f%%, %d guarded benchmark(s) missing",
+				len(bad), 100**maxRegress, len(gone))
 		}
 		fmt.Fprintf(out, "no guarded regressions against %s\n", *comparePath)
 	}

@@ -135,6 +135,49 @@ func TestRunOutAndCompareRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunCompareMissing pins that a baseline benchmark absent from the run
+// fails the comparison when guarded and only warns otherwise, and that
+// baseline entries outside -filter are not expected at all.
+func TestRunCompareMissing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_slot.json")
+	var out strings.Builder
+	if err := run(strings.NewReader(sampleBench), &out, []string{"-out", path}); err != nil {
+		t.Fatal(err)
+	}
+	withoutLine := func(prefix string) string {
+		var kept []string
+		for _, line := range strings.Split(sampleBench, "\n") {
+			if !strings.HasPrefix(line, prefix) {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+
+	out.Reset()
+	err := run(strings.NewReader(withoutLine("BenchmarkSlotDecision/beta=100-warm-")), &out, []string{"-compare", path})
+	if err == nil {
+		t.Fatalf("run without a guarded baseline benchmark passed compare:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "FAIL BenchmarkSlotDecision/beta=100-warm") {
+		t.Errorf("missing guarded benchmark not reported as FAIL:\n%s", out.String())
+	}
+
+	out.Reset()
+	if err := run(strings.NewReader(withoutLine("BenchmarkDistributedSlot-")), &out, []string{"-compare", path}); err != nil {
+		t.Fatalf("missing unguarded benchmark failed compare: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "warn BenchmarkDistributedSlot") {
+		t.Errorf("missing unguarded benchmark not reported:\n%s", out.String())
+	}
+
+	out.Reset()
+	if err := run(strings.NewReader(withoutLine("BenchmarkSlotDecision/")), &out,
+		[]string{"-compare", path, "-filter", "^BenchmarkDistributedSlot$"}); err != nil {
+		t.Fatalf("baseline entries outside -filter were expected: %v\n%s", err, out.String())
+	}
+}
+
 func TestRunNeedsAction(t *testing.T) {
 	if err := run(strings.NewReader(sampleBench), &strings.Builder{}, nil); err == nil {
 		t.Fatal("want error when neither -out nor -compare is given")

@@ -30,12 +30,6 @@
 // -scale-slots slots each, measuring slot-tick latency percentiles,
 // throughput, allocation rate, and heap ceiling — fault-free and, with
 // -scale-chaos, under partitions of -kill-frac of the fleet plus call drops.
-//
-// The solverscale experiment (also outside -experiment all) sweeps the slot
-// solvers themselves — monolithic, sparse, decomposed, and pooled decomposed
-// — over large synthetic instances of -solver-shapes (N x J) at
-// -solver-densities active-pair fractions, measuring per-decision latency and
-// allocation rate for -scale-slots drifting slots per cell.
 package main
 
 import (
@@ -67,7 +61,7 @@ func main() {
 
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("grefar-sim", flag.ContinueOnError)
-	experiment := fs.String("experiment", "all", "which experiment to run: table1, fig1, fig2, fig3, fig4, fig5, workshare, theorem1, ablation, robustness, delays, mpc, churn, scale, solverscale, events, or all")
+	experiment := fs.String("experiment", "all", "which experiment to run: table1, fig1, fig2, fig3, fig4, fig5, workshare, theorem1, ablation, robustness, delays, mpc, churn, scale, events, or all")
 	slots := fs.Int("slots", 2000, "simulation horizon in hourly slots")
 	seed := fs.Int64("seed", 2012, "seed for every stochastic input")
 	day := fs.Int("day", 30, "snapshot day for fig5")
@@ -85,8 +79,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	scaleChaos := fs.Bool("scale-chaos", true, "also run each scale point with injected churn and drops")
 	scaleParts := fs.Int("scale-partitions", 4, "partitioned-control-plane arm of the scale experiment (<=1 disables)")
 	killFrac := fs.Float64("kill-frac", 0.05, "fraction of agents the scale chaos variant partitions")
-	solverShapes := fs.String("solver-shapes", "50x25,100x50,200x100", "comma-separated NxJ grid points for the solverscale experiment")
-	solverDensities := fs.String("solver-densities", "0.1,0.5", "comma-separated active-pair fractions for the solverscale experiment")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -163,26 +155,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				KillFrac:   *killFrac,
 				Check:      *check,
 				Context:    ctx,
-			})
-		},
-		"solverscale": func() error {
-			shapes, err := parseShapeList(*solverShapes)
-			if err != nil {
-				return fmt.Errorf("-solver-shapes: %w", err)
-			}
-			densities, err := parseFloatList(*solverDensities)
-			if err != nil {
-				return fmt.Errorf("-solver-densities: %w", err)
-			}
-			return runSolverScale(out, experiments.SolverScaleConfig{
-				Seed:      *seed,
-				Shapes:    shapes,
-				Densities: densities,
-				Slots:     *scaleSlots,
-				Beta:      *beta,
-				V:         *v,
-				Workers:   *workers,
-				Context:   ctx,
 			})
 		},
 		"churn": func() error {
@@ -262,75 +234,6 @@ func parseIntList(s string) ([]int, error) {
 		return nil, fmt.Errorf("empty list")
 	}
 	return out, nil
-}
-
-// parseShapeList parses a comma-separated list of NxJ shapes.
-func parseShapeList(s string) ([][2]int, error) {
-	var out [][2]int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, j, ok := strings.Cut(part, "x")
-		if !ok {
-			return nil, fmt.Errorf("bad shape %q (want NxJ)", part)
-		}
-		nv, err1 := strconv.Atoi(strings.TrimSpace(n))
-		jv, err2 := strconv.Atoi(strings.TrimSpace(j))
-		if err1 != nil || err2 != nil || nv <= 0 || jv <= 0 {
-			return nil, fmt.Errorf("bad shape %q", part)
-		}
-		out = append(out, [2]int{nv, jv})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
-}
-
-// parseFloatList parses a comma-separated list of floats in [0, 1].
-func parseFloatList(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		f, err := strconv.ParseFloat(part, 64)
-		if err != nil || f < 0 || f > 1 {
-			return nil, fmt.Errorf("bad fraction %q", part)
-		}
-		out = append(out, f)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
-}
-
-// runSolverScale runs the slot-solver scale sweep: per instance shape and
-// backlog density, each solver arm decides the same drifting slot sequence.
-func runSolverScale(out io.Writer, cfg experiments.SolverScaleConfig) error {
-	res, err := experiments.SolverScale(cfg)
-	if err != nil {
-		return err
-	}
-	table := make([][]string, len(res.Points))
-	for x, pt := range res.Points {
-		table[x] = []string{
-			strconv.Itoa(pt.N),
-			strconv.Itoa(pt.J),
-			report.FormatFloat(pt.Density, 2),
-			strconv.Itoa(pt.ActivePairs),
-			pt.Solver,
-			strconv.Itoa(pt.Workers),
-			report.FormatFloat(pt.DecideMicros, 1),
-			report.FormatFloat(pt.AllocsPerDecide, 0),
-			report.FormatFloat(pt.Objective, 1),
-		}
-	}
-	return report.Table(out, []string{"N", "J", "Density", "Active", "Solver", "Workers", "us/decide", "Allocs/decide", "Objective"}, table)
 }
 
 // runScale runs the hollow-fleet scale sweep: per agent count, a real

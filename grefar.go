@@ -83,22 +83,6 @@ type (
 	FWOptions = solve.FWOptions
 	// QueueLengths is the backlog snapshot Theta(t) a Scheduler observes.
 	QueueLengths = queue.Lengths
-	// SolverKind selects the slot-solver implementation (see WithSolver).
-	SolverKind = core.SolverKind
-)
-
-// Slot-solver kinds (Config.Solver / WithSolver).
-const (
-	// SolverAuto picks the historical monolithic dense solver (the default).
-	SolverAuto = core.SolverAuto
-	// SolverMonolithic pins the monolithic dense solver explicitly.
-	SolverMonolithic = core.SolverMonolithic
-	// SolverSparse runs the slot solve on the active-pair compact
-	// representation: identical algorithms, bit-identical decisions.
-	SolverSparse = core.SolverSparse
-	// SolverDecomposed block-decomposes the beta > 0 slot solve per data
-	// center (see WithDecomposedSolver, WithSolverWorkers).
-	SolverDecomposed = core.SolverDecomposed
 )
 
 // Simulation types.

@@ -54,52 +54,6 @@ type Config struct {
 	// V*g(t) penalty decomposition of the chosen action, and solver
 	// statistics. Nil costs nothing on the decision path.
 	Observer telemetry.SlotObserver
-	// Solver selects the slot-solver implementation. SolverAuto (the zero
-	// value) keeps the monolithic dense path and its byte-identical golden
-	// traces; SolverSparse runs the same algorithms on the active-pair
-	// compact representation; SolverDecomposed additionally splits the
-	// beta > 0 solve into per-data-center blocks coordinated by sharing ADMM.
-	// The sparse kinds require a cluster without auxiliary resources and a
-	// linear (or absent) tariff; New rejects other combinations.
-	Solver SolverKind
-	// SolverWorkers bounds the concurrency of the decomposed solver's block
-	// stage: <= 1 solves blocks serially on the calling goroutine, larger
-	// values pool them on internal/runner. Results are byte-identical at any
-	// worker count. Ignored by the monolithic and sparse solvers.
-	SolverWorkers int
-}
-
-// SolverKind selects the slot-solver implementation (Config.Solver).
-type SolverKind int
-
-const (
-	// SolverAuto picks the historical monolithic dense solver (the default).
-	SolverAuto SolverKind = iota
-	// SolverMonolithic pins the monolithic dense solver explicitly.
-	SolverMonolithic
-	// SolverSparse runs the slot solve on the active-pair compact
-	// representation: identical algorithms, bit-identical decisions,
-	// O(active) work instead of O(N*J).
-	SolverSparse
-	// SolverDecomposed runs the sparse representation with the beta > 0
-	// solve block-decomposed per data center (sharing ADMM + Frank-Wolfe
-	// polish), optionally pooling block solves across SolverWorkers.
-	SolverDecomposed
-)
-
-// String names the solver kind as it appears in telemetry and flags.
-func (k SolverKind) String() string {
-	switch k {
-	case SolverAuto:
-		return "auto"
-	case SolverMonolithic:
-		return "monolithic"
-	case SolverSparse:
-		return "sparse"
-	case SolverDecomposed:
-		return "decomposed"
-	}
-	return fmt.Sprintf("SolverKind(%d)", int(k))
 }
 
 // ApplyScheduler replaces the whole configuration with c, making a Config
@@ -158,7 +112,24 @@ var _ sched.Scheduler = (*GreFar)(nil)
 // New builds a GreFar scheduler for the cluster. A malformed cluster yields
 // an error wrapping model.ErrInvalidCluster; a bad knob yields one wrapping
 // ErrBadConfig.
+//
+// The slot solver is chosen from the input: the active-pair sparse
+// representation whenever it applies (no auxiliary resources and a linear
+// or absent tariff), the dense coefficient path otherwise. The two produce
+// bit-identical decisions where both apply.
 func New(c *model.Cluster, cfg Config) (*GreFar, error) {
+	return newGreFar(c, cfg, true)
+}
+
+// newDense builds a scheduler pinned to the dense coefficient path, the
+// reference the sparse path is tested against.
+func newDense(c *model.Cluster, cfg Config) (*GreFar, error) {
+	return newGreFar(c, cfg, false)
+}
+
+// newGreFar validates the inputs and builds the scheduler, on the sparse
+// path when sparse is set and the input allows it.
+func newGreFar(c *model.Cluster, cfg Config, sparse bool) (*GreFar, error) {
 	if c == nil {
 		return nil, fmt.Errorf("%w: nil cluster", model.ErrInvalidCluster)
 	}
@@ -185,38 +156,28 @@ func New(c *model.Cluster, cfg Config) (*GreFar, error) {
 		}
 		cfg.Fairness = quad
 	}
-	if cfg.Solver < SolverAuto || cfg.Solver > SolverDecomposed {
-		return nil, fmt.Errorf("%w: unknown solver kind %d", ErrBadConfig, int(cfg.Solver))
-	}
-	if cfg.SolverWorkers < 0 {
-		return nil, fmt.Errorf("%w: solver worker count %d is negative", ErrBadConfig, cfg.SolverWorkers)
-	}
 	g := &GreFar{cluster: c, cfg: cfg, weights: weights}
-	if g.useSparse() {
-		if c.Aux() > 0 {
-			return nil, fmt.Errorf("%w: solver %v requires a cluster without auxiliary resources", ErrBadConfig, cfg.Solver)
-		}
-		if cfg.Tariff != nil {
-			if _, isLinear := cfg.Tariff.(tariff.Linear); !isLinear {
-				return nil, fmt.Errorf("%w: solver %v requires a linear (or absent) tariff", ErrBadConfig, cfg.Solver)
-			}
-		}
-	}
-	g.ws = newDecideScratch(c, !g.linearSlot())
-	if g.useSparse() {
-		g.ws.sparse = newSparseSlot(c)
-		if g.ws.warm == nil {
-			// The sparse membership rule and state restore read the dense warm
-			// buffer even for linear slots.
-			g.ws.warm = make([]float64, g.ws.layout.total)
-		}
-	}
-	if cfg.Solver == SolverDecomposed {
-		g.ws.dec = newDecomposedScratch(c)
-	}
-	g.reportOpts = cfg.FW != (solve.FWOptions{}) || cfg.WarmStart ||
-		cfg.Solver != SolverAuto || cfg.SolverWorkers != 0
+	g.ws = newDecideScratch(c, !g.linearSlot(), sparse && sparseApplies(c, cfg.Tariff))
+	g.reportOpts = cfg.FW != (solve.FWOptions{}) || cfg.WarmStart
 	return g, nil
+}
+
+// sparseApplies reports whether the active-pair sparse representation can
+// serve the cluster: its compact greedy and warm-start repair handle the
+// single capacity row of (11) and a cost linear in the busy-server counts,
+// so auxiliary resources (footnote 3) and non-linear tariffs need the dense
+// path.
+func sparseApplies(c *model.Cluster, trf tariff.Tariff) bool {
+	return c.Aux() == 0 && isLinearTariff(trf)
+}
+
+// isLinearTariff reports whether trf is absent or the paper's linear pricing.
+func isLinearTariff(trf tariff.Tariff) bool {
+	if trf == nil {
+		return true
+	}
+	_, linear := trf.(tariff.Linear)
+	return linear
 }
 
 // Name implements sched.Scheduler.
@@ -387,8 +348,12 @@ func routeBudgetFor(jt model.JobType) int {
 // rule: process type j at site i only while q_{i,j}/d_j > V * phi_i * p_k/s_k.
 // With beta > 0 it is a convex QP solved by Frank-Wolfe with the greedy as
 // its linear oracle and exact line search.
+//
+// The sparse representation runs whenever it applies; the dense path below
+// serves clusters with auxiliary resources or a non-linear tariff, and is
+// the reference the sparse path is tested against.
 func (g *GreFar) decideProcessing(st *model.State, q queue.Lengths, act *model.Action, stats *telemetry.SolveStats) error {
-	if g.useSparse() {
+	if g.ws.sparse != nil {
 		return g.decideProcessingSparse(st, q, act, stats)
 	}
 	c := g.cluster
@@ -458,14 +423,7 @@ func (g *GreFar) linearSlot() bool {
 	if g.cfg.V == 0 {
 		return true // cost is irrelevant; greedy processes everything queued
 	}
-	if g.cfg.Beta != 0 {
-		return false
-	}
-	if g.cfg.Tariff == nil {
-		return true
-	}
-	_, linear := g.cfg.Tariff.(tariff.Linear)
-	return linear
+	return g.cfg.Beta == 0 && isLinearTariff(g.cfg.Tariff)
 }
 
 // solveQuadraticSlot handles beta > 0 by Frank-Wolfe over the concatenated
@@ -480,11 +438,7 @@ func (g *GreFar) solveQuadraticSlot(st *model.State, cH, cB, hCap [][]float64, s
 
 	// Non-linear tariffs move the energy cost out of the linear part and
 	// into the convex tariff term.
-	nonlinearTariff := false
-	if g.cfg.Tariff != nil {
-		_, isLinear := g.cfg.Tariff.(tariff.Linear)
-		nonlinearTariff = !isLinear
-	}
+	nonlinearTariff := !isLinearTariff(g.cfg.Tariff)
 	linear := ws.linear
 	for i := 0; i < c.N(); i++ {
 		for j := 0; j < c.J(); j++ {

@@ -24,24 +24,31 @@ import (
 type decideScratch struct {
 	layout slotLayout
 
-	// Linear slot data (SlotCoefficients output).
-	cH, cB, hCap [][]float64
-
 	// Routing order buffer (decideRouting).
 	order []int
-
-	// Greedy exchange workspace, shared by the direct beta = 0 path and the
-	// Frank-Wolfe linear oracle (whose calls are sequential within one
-	// Decide, so one workspace serves both).
-	lin linearScratch
 
 	// Cheapest-first server order per data center for busy-server
 	// provisioning: availability changes per slot but the energy-per-work
 	// rate of a server type does not, so the order is cluster-static.
 	provOrder [][]int
 
-	// Quadratic (beta > 0 / non-linear tariff) path, allocated only when the
-	// configuration can take it.
+	// Frank-Wolfe workspace, sized by the first convex solve.
+	fw solve.FWWorkspace
+
+	// Sparse representation; nil on the dense path. The sparse path reads
+	// none of the dense buffers below, so they stay nil alongside it.
+	sparse *sparseSlot
+
+	// Dense linear slot data (SlotCoefficients output).
+	cH, cB, hCap [][]float64
+
+	// Dense greedy exchange workspace, shared by the direct beta = 0 path
+	// and the Frank-Wolfe linear oracle (whose calls are sequential within
+	// one Decide, so one workspace serves both).
+	lin linearScratch
+
+	// Dense quadratic (beta > 0 / non-linear tariff) path, allocated only
+	// when the configuration can take it.
 	linear  []float64 // linear coefficients over the flat (h, b) vector
 	x0      []float64 // Frank-Wolfe starting point
 	gradH   [][]float64
@@ -49,7 +56,6 @@ type decideScratch struct {
 	process [][]float64 // clamped h result
 	obj     *slotObjective
 	wrapped solve.Objective
-	fw      solve.FWWorkspace
 
 	// Cross-slot warm start (Config.WarmStart): warm holds the previous
 	// slot's (h, b) iterate in slotLayout order, and warmValid reports
@@ -62,11 +68,6 @@ type decideScratch struct {
 	// repairWarmStart).
 	warm      []float64
 	warmValid bool
-
-	// Sparse representation (Config.Solver = SolverSparse / SolverDecomposed)
-	// and the decomposed solver's block scratch; nil on the monolithic path.
-	sparse *sparseSlot
-	dec    *decomposedScratch
 }
 
 // linearScratch holds the buffers of one greedy-exchange slot solve.
@@ -86,29 +87,36 @@ func newLinearScratch(c *model.Cluster) *linearScratch {
 	return ws
 }
 
-// newDecideScratch builds the full workspace for one scheduler. The
-// quadratic-path buffers are allocated only when quad is set (beta > 0 or a
-// non-linear tariff can reach Frank-Wolfe).
-func newDecideScratch(c *model.Cluster, quad bool) *decideScratch {
+// newDecideScratch builds the workspace for one scheduler: the sparse
+// representation when sparse is set, the dense buffers otherwise. The warm
+// iterate and the dense quadratic-path buffers are allocated only when quad
+// is set (beta > 0 or a non-linear tariff can reach Frank-Wolfe).
+func newDecideScratch(c *model.Cluster, quad, sparse bool) *decideScratch {
 	ws := &decideScratch{
 		layout: newSlotLayout(c),
-		cH:     newMatrixNJ(c),
-		cB:     newMatrixNK(c),
-		hCap:   newMatrixNJ(c),
 		order:  make([]int, 0, c.N()),
-		lin:    *newLinearScratch(c),
 	}
 	ws.provOrder = make([][]int, c.N())
 	for i := 0; i < c.N(); i++ {
 		ws.provOrder[i] = model.RateOrder(c.DataCenters[i])
 	}
 	if quad {
+		ws.warm = make([]float64, ws.layout.total)
+	}
+	if sparse {
+		ws.sparse = newSparseSlot(c)
+		return ws
+	}
+	ws.cH = newMatrixNJ(c)
+	ws.cB = newMatrixNK(c)
+	ws.hCap = newMatrixNJ(c)
+	ws.lin = *newLinearScratch(c)
+	if quad {
 		ws.linear = make([]float64, ws.layout.total)
 		ws.x0 = make([]float64, ws.layout.total)
 		ws.gradH = newMatrixNJ(c)
 		ws.gradB = newMatrixNK(c)
 		ws.process = newMatrixNJ(c)
-		ws.warm = make([]float64, ws.layout.total)
 	}
 	return ws
 }

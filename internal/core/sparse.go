@@ -10,20 +10,20 @@ import (
 	"grefar/internal/telemetry"
 )
 
-// This file implements the sparse slot representation behind
-// Config.Solver = SolverSparse / SolverDecomposed: an active-pair index over
-// the (i, j) processing variables that skips every pair with zero backlog and
-// zero warm-start mass, threaded through the coefficient build, the
-// objective/gradient, the greedy oracle, and the Frank-Wolfe workspace. At
-// production scale most pairs are inactive — a job type's data lives at a
-// handful of sites and most queues are empty — so the dense N*J vectors the
-// monolithic path iterates over are mostly exact zeros. The compact layout
-// makes every solver pass O(active) instead of O(N*J) while producing
-// bit-identical iterates: an inactive pair has x = v = dir = 0 on the dense
-// path, contributing exactly +0.0 to every inner product, and the compact
-// index preserves the dense (i, j) lexicographic order, so the fairness
-// account sums, the greedy candidate lists, and the line-search scalars all
-// come out float-for-float equal.
+// This file implements the sparse slot representation, the default slot
+// solver path whenever it applies (see sparseApplies): an active-pair index
+// over the (i, j) processing variables that skips every pair with zero
+// backlog and zero warm-start mass, threaded through the coefficient build,
+// the objective/gradient, the greedy oracle, and the Frank-Wolfe workspace.
+// At production scale most pairs are inactive — a job type's data lives at a
+// handful of sites and most queues are empty — so the N*J vectors the dense
+// path iterates over are mostly exact zeros. The compact layout makes every
+// solver pass O(active) instead of O(N*J) while producing iterates
+// bit-identical to the dense reference path: an inactive pair has
+// x = v = dir = 0 on the dense path, contributing exactly +0.0 to every inner
+// product, and the compact index preserves the dense (i, j) lexicographic
+// order, so the fairness account sums, the greedy candidate lists, and the
+// line-search scalars all come out float-for-float equal.
 
 // sparseSlot is the active-pair slot representation owned by one scheduler.
 // Pair (i, j) is active when j is eligible at i and the pair has positive
@@ -48,7 +48,6 @@ type sparseSlot struct {
 	bOffC    []int // bOffC[i] is the first compact b index of site i
 	nH       int   // compact h count
 	total    int   // nH + sum_i K(i)
-	gen      int   // bumped on every index rebuild (consumers re-derive)
 
 	// Compact slot coefficients: linear is [cH | cB] in compact layout
 	// (cH[t] = -q for the pair, cB = V*phi*p as in slotCoefficientsInto);
@@ -77,12 +76,8 @@ type sparseSlot struct {
 
 	// Solver buffers in compact layout.
 	x0, xw, vertex []float64
-	scr            siteScratch
-}
 
-// siteScratch holds one site's greedy-exchange buffers. The decomposed
-// solver keeps one per site so pooled block solves never share state.
-type siteScratch struct {
+	// Greedy-exchange buffers, reused site by site.
 	segs []segment
 	jobs []jobDemand
 }
@@ -104,8 +99,8 @@ func newSparseSlot(c *model.Cluster) *sparseSlot {
 			sp.eligible[i*c.J()+j] = true
 		}
 	}
-	sp.scr.segs = make([]segment, 0, maxServerTypes(c))
-	sp.scr.jobs = make([]jobDemand, 0, c.J())
+	sp.segs = make([]segment, 0, maxServerTypes(c))
+	sp.jobs = make([]jobDemand, 0, c.J())
 	return sp
 }
 
@@ -221,7 +216,6 @@ func (sp *sparseSlot) rebuildIndex(cfg Config, st *model.State, q queue.Lengths,
 	}
 	sp.prevValid = true
 	sp.rebuilds++
-	sp.gen++
 }
 
 // ensureObjective (re)binds the compact convex objective to the current
@@ -256,24 +250,25 @@ func (sp *sparseSlot) oracle(st *model.State) solve.LinearOracle {
 			out[j] = 0
 		}
 		for i := 0; i < sp.c.N(); i++ {
-			sp.greedySite(&sp.scr, st, i, grad, out, true)
+			// Negative b costs clamp rather than fail, so no error.
+			_ = sp.greedySite(st, i, grad, out, true)
 		}
 	}
 }
 
 // greedySite runs one site's greedy exchange over the site's active pairs
 // with the compact cost vector cost, adding the chosen vertex into out
-// (caller-zeroed, compact layout) and returning the site's objective
-// contribution. With clampNegB, negative b costs clamp to zero exactly as in
-// slotOracleWS; without it they are an error, mirroring solveLinearSlotWS.
-func (sp *sparseSlot) greedySite(scr *siteScratch, st *model.State, i int, cost, out []float64, clampNegB bool) (float64, error) {
+// (caller-zeroed, compact layout). With clampNegB, negative b costs clamp to
+// zero exactly as in slotOracleWS; without it they are an error, mirroring
+// solveLinearSlotWS.
+func (sp *sparseSlot) greedySite(st *model.State, i int, cost, out []float64, clampNegB bool) error {
 	c := sp.c
-	segs := scr.segs[:0]
+	segs := sp.segs[:0]
 	for k, stype := range c.DataCenters[i].Servers {
 		cb := cost[sp.bOffC[i]+k]
 		if cb < 0 {
 			if !clampNegB {
-				return 0, fmt.Errorf("data center %d server type %d: negative capacity cost %v", i, k, cb)
+				return fmt.Errorf("data center %d server type %d: negative capacity cost %v", i, k, cb)
 			}
 			cb = 0
 		}
@@ -289,7 +284,7 @@ func (sp *sparseSlot) greedySite(scr *siteScratch, st *model.State, i int, cost,
 		})
 	}
 	sortSegsByDensity(segs)
-	jobs := scr.jobs[:0]
+	jobs := sp.jobs[:0]
 	for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
 		if cost[t] >= 0 || sp.hCap[t] <= 0 {
 			continue
@@ -303,8 +298,9 @@ func (sp *sparseSlot) greedySite(scr *siteScratch, st *model.State, i int, cost,
 		})
 	}
 	sortJobsByDensity(jobs)
-	scr.segs, scr.jobs = segs, jobs
-	return greedyExchange(segs, jobs, out, sp.bOffC[i]), nil
+	sp.segs, sp.jobs = segs, jobs
+	greedyExchange(segs, jobs, out, sp.bOffC[i])
+	return nil
 }
 
 // greedyExchange is the exchange core of solveLinearSlotWS operating on a
@@ -313,8 +309,7 @@ func (sp *sparseSlot) greedySite(scr *siteScratch, st *model.State, i int, cost,
 // (jobs by descending reward density, segs by ascending cost density); the
 // arithmetic — take splitting, the 1e-15 epsilons, the accumulation order —
 // replicates solveLinearSlotWS exactly so vertices come out bit-identical.
-func greedyExchange(segs []segment, jobs []jobDemand, out []float64, bBase int) float64 {
-	value := 0.0
+func greedyExchange(segs []segment, jobs []jobDemand, out []float64, bBase int) {
 	seg := 0
 	for _, jd := range jobs {
 		remaining := jd.work
@@ -329,7 +324,6 @@ func greedyExchange(segs []segment, jobs []jobDemand, out []float64, bBase int) 
 			}
 			out[jd.job] += take / jd.demand
 			out[bBase+s.serverType] += take / s.speed
-			value += take * (s.density - jd.density)
 			s.cap -= take
 			remaining -= take
 			if s.cap <= 1e-15 {
@@ -340,7 +334,6 @@ func greedyExchange(segs []segment, jobs []jobDemand, out []float64, bBase int) 
 			break
 		}
 	}
-	return value
 }
 
 // repairWarm is repairWarmStart for the sparse path: it repairs the dense
@@ -349,8 +342,8 @@ func greedyExchange(segs []segment, jobs []jobDemand, out []float64, bBase int) 
 // clamps away; the capacity-row sums skip inactive pairs, whose terms are
 // exact zeros, and therefore match the dense sums float-for-float. The
 // outcome classification is identical to repairWarmStart on the dense
-// coefficients. Auxiliary rows are absent by construction: New rejects the
-// sparse solvers on clusters with auxiliary resources.
+// coefficients. Auxiliary rows are absent by construction: clusters with
+// auxiliary resources take the dense path.
 func (sp *sparseSlot) repairWarm(st *model.State, x []float64) warmOutcome {
 	c := sp.c
 	n, nJ := c.N(), c.J()
@@ -464,16 +457,9 @@ func (sp *sparseSlot) scatterWarm(x, warm []float64) {
 	}
 }
 
-// useSparse reports whether this scheduler's Decide runs on the sparse slot
-// representation.
-func (g *GreFar) useSparse() bool {
-	return g.cfg.Solver == SolverSparse || g.cfg.Solver == SolverDecomposed
-}
-
 // decideProcessingSparse is decideProcessing on the sparse representation:
 // refresh the active-pair index incrementally, solve on the compact layout
-// (greedy for linear slots, compact Frank-Wolfe for SolverSparse, the
-// sharing-ADMM block decomposition for SolverDecomposed), scatter the
+// (greedy for linear slots, compact Frank-Wolfe otherwise), scatter the
 // clamped h into the action, and provision exactly as the dense path does.
 func (g *GreFar) decideProcessingSparse(st *model.State, q queue.Lengths, act *model.Action, stats *telemetry.SolveStats) error {
 	c, ws := g.cluster, g.ws
@@ -485,12 +471,9 @@ func (g *GreFar) decideProcessingSparse(st *model.State, q queue.Lengths, act *m
 	sp.refresh(g.cfg, st, q, warmRef)
 
 	var err error
-	switch {
-	case g.linearSlot():
+	if g.linearSlot() {
 		err = g.solveSparseLinear(st, act, stats)
-	case g.cfg.Solver == SolverDecomposed:
-		err = g.solveDecomposedQuadratic(st, act, stats)
-	default:
+	} else {
 		err = g.solveSparseQuadratic(st, act, stats)
 	}
 	if err != nil {
@@ -506,45 +489,24 @@ func (g *GreFar) decideProcessingSparse(st *model.State, q queue.Lengths, act *m
 }
 
 // solveSparseLinear is the beta = 0 slot solve on the compact layout: the
-// per-site greedy exchange over active pairs, site by site — or pooled on
-// the runner when the decomposed solver is configured with workers, with
-// per-site scratch and disjoint output ranges, so the result is
-// bit-identical at any worker count.
+// per-site greedy exchange over active pairs, site by site. Like the dense
+// greedy path it attaches no solver options to telemetry.
 func (g *GreFar) solveSparseLinear(st *model.State, act *model.Action, stats *telemetry.SolveStats) error {
-	c, ws := g.cluster, g.ws
-	sp := ws.sparse
+	sp := g.ws.sparse
 	sp.vertex = resizeFloats(sp.vertex, sp.total)
 	for j := range sp.vertex {
 		sp.vertex[j] = 0
 	}
-	solver := telemetry.SolverGreedy
-	workers := 1
-	if g.cfg.Solver == SolverDecomposed {
-		solver = telemetry.SolverDecomposed
-		workers = g.cfg.SolverWorkers
-	}
-	if workers > 1 {
-		if err := ws.dec.parallelSites(sp, workers, func(i int, scr *siteScratch) error {
-			_, err := sp.greedySite(scr, st, i, sp.linear, sp.vertex, false)
-			return err
-		}); err != nil {
+	for i := 0; i < g.cluster.N(); i++ {
+		if err := sp.greedySite(st, i, sp.linear, sp.vertex, false); err != nil {
 			return err
 		}
-	} else {
-		for i := 0; i < c.N(); i++ {
-			if _, err := sp.greedySite(&sp.scr, st, i, sp.linear, sp.vertex, false); err != nil {
-				return err
-			}
-		}
-	}
-	for i := 0; i < c.N(); i++ {
 		for t := sp.siteOff[i]; t < sp.siteOff[i+1]; t++ {
 			act.Process[i][sp.pairJ[t]] = sp.vertex[t]
 		}
 	}
 	if stats != nil {
-		*stats = telemetry.SolveStats{Solver: solver, Iterations: 1, Converged: true}
-		g.attachSolverOptions(stats, g.cfg.FW)
+		*stats = telemetry.SolveStats{Solver: telemetry.SolverGreedy, Iterations: 1, Converged: true}
 	}
 	return nil
 }
@@ -648,8 +610,7 @@ func (g *GreFar) attachWarmStats(stats *telemetry.SolveStats, warm string) {
 }
 
 // attachSolverOptions attaches the effective solver options to the first
-// telemetry event of a non-default-configured scheduler (same latch as the
-// dense path).
+// telemetry event of a non-default-configured scheduler.
 func (g *GreFar) attachSolverOptions(stats *telemetry.SolveStats, opts solve.FWOptions) {
 	if !g.reportOpts || g.optsReported {
 		return
@@ -659,12 +620,6 @@ func (g *GreFar) attachSolverOptions(stats *telemetry.SolveStats, opts solve.FWO
 		Tol:       opts.Tol,
 		AwaySteps: opts.AwaySteps,
 		WarmStart: g.cfg.WarmStart,
-	}
-	if g.cfg.Solver != SolverAuto {
-		stats.Options.Solver = g.cfg.Solver.String()
-	}
-	if g.cfg.SolverWorkers != 0 {
-		stats.Options.Workers = g.cfg.SolverWorkers
 	}
 	g.optsReported = true
 }

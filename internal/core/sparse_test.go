@@ -2,11 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"grefar/internal/model"
 	"grefar/internal/queue"
 	"grefar/internal/solve"
+	"grefar/internal/tariff"
+	"grefar/internal/telemetry"
 )
 
 // sparseTestLengths draws a backlog snapshot with roughly the given fraction
@@ -126,10 +129,11 @@ func decisionsEqual(t *testing.T, slot int, label string, a, b *model.Action) {
 	}
 }
 
-// TestSparseDecideBitIdentical drives the monolithic and sparse schedulers
-// through the same evolving slot sequence and requires byte-identical
-// decisions — the bit-identity argument of the sparse representation, pinned
-// for the linear path, the convex path, and the warm-started convex path.
+// TestSparseDecideBitIdentical drives the dense reference scheduler and the
+// default (sparse) scheduler through the same evolving slot sequence and
+// requires byte-identical decisions and telemetry events — the bit-identity
+// argument of the sparse representation, pinned for the linear path, the
+// convex path, and the warm-started convex path.
 func TestSparseDecideBitIdentical(t *testing.T) {
 	c := refCluster(t)
 	states, lengths := stateTestWorld(t, c, 30)
@@ -138,21 +142,27 @@ func TestSparseDecideBitIdentical(t *testing.T) {
 		cfg  Config
 	}{
 		{"beta=0", Config{V: 7.5}},
+		{"beta=0-warm", Config{V: 7.5, WarmStart: true}},
 		{"beta=100", Config{V: 7.5, Beta: 100}},
 		{"beta=100-warm", Config{V: 7.5, Beta: 100, WarmStart: true}},
 		{"beta=100-away", Config{V: 7.5, Beta: 100, FW: awayFWOptions()}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dense, err := New(c, tc.cfg)
+			var denseEvents, sparseEvents []telemetry.SlotEvent
+			cfg := tc.cfg
+			cfg.Observer = telemetry.ObserverFunc(func(ev telemetry.SlotEvent) { denseEvents = append(denseEvents, ev) })
+			dense, err := newDense(c, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfgSparse := tc.cfg
-			cfgSparse.Solver = SolverSparse
-			sparse, err := New(c, cfgSparse)
+			cfg.Observer = telemetry.ObserverFunc(func(ev telemetry.SlotEvent) { sparseEvents = append(sparseEvents, ev) })
+			sparse, err := New(c, cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if dense.ws.sparse != nil || sparse.ws.sparse == nil {
+				t.Fatal("schedulers did not take the dense and sparse paths")
 			}
 			for s := range states {
 				da, err := dense.Decide(s, states[s], lengths[s])
@@ -165,7 +175,48 @@ func TestSparseDecideBitIdentical(t *testing.T) {
 				}
 				decisionsEqual(t, s, tc.name, da, sa)
 			}
+			if !reflect.DeepEqual(denseEvents, sparseEvents) {
+				t.Fatal("telemetry events differ between the dense and sparse paths")
+			}
 		})
+	}
+}
+
+// TestSolverPathSelection pins how New picks the slot solver from its input:
+// clusters with auxiliary resources and non-linear tariffs take the dense
+// path, every other cluster takes the sparse path, at any beta.
+func TestSolverPathSelection(t *testing.T) {
+	quadratic, err := tariff.NewQuadratic(60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered, err := tariff.NewTiered([]float64{40}, []float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := model.NewReferenceCluster()
+	cases := []struct {
+		name   string
+		c      *model.Cluster
+		trf    tariff.Tariff
+		sparse bool
+	}{
+		{"reference", ref, nil, true},
+		{"linear-tariff", ref, tariff.Linear{}, true},
+		{"aux-resources", auxCluster(), nil, false},
+		{"quadratic-tariff", ref, quadratic, false},
+		{"tiered-tariff", ref, tiered, false},
+	}
+	for _, tc := range cases {
+		for _, beta := range []float64{0, 100} {
+			g, err := New(tc.c, Config{V: 7.5, Beta: beta, Tariff: tc.trf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := g.ws.sparse != nil; got != tc.sparse {
+				t.Errorf("%s beta=%g: sparse path %v, want %v", tc.name, beta, got, tc.sparse)
+			}
+		}
 	}
 }
 
@@ -190,7 +241,6 @@ func TestSparseRefreshIncremental(t *testing.T) {
 	if sp.rebuilds != 1 || sp.rowRefreshes != 0 {
 		t.Fatalf("first refresh: rebuilds=%d rowRefreshes=%d, want 1/0", sp.rebuilds, sp.rowRefreshes)
 	}
-	gen := sp.gen
 
 	// Backlog and price drift with unchanged membership: in-place refresh.
 	q.Local[1][0] += 3
@@ -201,9 +251,6 @@ func TestSparseRefreshIncremental(t *testing.T) {
 	}
 	if sp.rowRefreshes == 0 {
 		t.Error("value drift refreshed no rows")
-	}
-	if sp.gen != gen {
-		t.Error("in-place refresh bumped the index generation")
 	}
 	if sp.linear[sp.siteOff[1]] != -q.Local[1][0] {
 		t.Errorf("refreshed cH = %v, want %v", sp.linear[sp.siteOff[1]], -q.Local[1][0])
@@ -221,9 +268,6 @@ func TestSparseRefreshIncremental(t *testing.T) {
 	sp.refresh(cfg, st, q, nil)
 	if sp.rebuilds != 2 {
 		t.Errorf("membership flip did not rebuild (rebuilds=%d)", sp.rebuilds)
-	}
-	if sp.gen == gen {
-		t.Error("rebuild did not bump the index generation")
 	}
 }
 

@@ -1,22 +1,18 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"time"
 
-	"grefar/internal/core"
 	"grefar/internal/model"
 	"grefar/internal/queue"
 )
 
 // solverScaleAccounts is how many organizations share the synthetic
-// large-instance cluster: enough that the decomposed solver's per-account
-// coupling terms are non-trivial, few enough that the fairness prox stays a
-// small fraction of the slot cost.
+// large-instance cluster: enough that the fairness term couples many job
+// types per account, few enough that the per-account sums stay a small
+// fraction of the slot cost.
 const solverScaleAccounts = 8
 
 // SolverScaleInstance is one synthetic large slot instance: a validated
@@ -120,156 +116,4 @@ func (in *SolverScaleInstance) Mutate() {
 	}
 	i := in.rng.Intn(c.N())
 	in.State.Price[i] = 0.3 + 0.4*in.rng.Float64()
-}
-
-// SolverScaleConfig tunes the solver-scale sweep: for each (N, J, density)
-// shape, every solver arm decides the same evolving slot sequence while the
-// harness measures per-decision latency and allocation rate.
-type SolverScaleConfig struct {
-	// Seed drives instance generation (0 = DefaultSeed; SeedZero for 0).
-	Seed int64
-	// Shapes are the (N, J) grid points (default {50, 25}, {100, 50},
-	// {200, 100}).
-	Shapes [][2]int
-	// Densities are the active-pair fractions per shape (default 0.1, 0.5).
-	Densities []float64
-	// Slots is the per-arm horizon (default 20).
-	Slots int
-	// Beta and V parameterize the objective (defaults 100, 7.5).
-	Beta, V float64
-	// Workers is the pooled arm's worker count (0 = one per CPU).
-	Workers int
-	// Context cancels the sweep between arms.
-	Context context.Context
-}
-
-func (c SolverScaleConfig) withDefaults() SolverScaleConfig {
-	c.Seed = CanonicalSeed(c.Seed)
-	if len(c.Shapes) == 0 {
-		c.Shapes = [][2]int{{50, 25}, {100, 50}, {200, 100}}
-	}
-	if len(c.Densities) == 0 {
-		c.Densities = []float64{0.1, 0.5}
-	}
-	if c.Slots <= 0 {
-		c.Slots = 20
-	}
-	if c.Beta == 0 {
-		c.Beta = 100
-	}
-	if c.V == 0 {
-		c.V = 7.5
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Context == nil {
-		c.Context = context.Background()
-	}
-	return c
-}
-
-// SolverScalePoint is one measured (shape, density, solver arm) cell.
-type SolverScalePoint struct {
-	// N, J, and ActivePairs describe the instance; Density is the requested
-	// active-pair fraction.
-	N, J, ActivePairs int
-	Density           float64
-	// Solver names the arm; Workers is its pool size (1 = serial).
-	Solver  string
-	Workers int
-	// DecideMicros is the mean per-Decide wall time over the horizon.
-	DecideMicros float64
-	// AllocsPerDecide is the mean heap allocation count per Decide.
-	AllocsPerDecide float64
-	// Objective is the final slot's processing objective, a cross-arm
-	// agreement signal (arms on the same instance must match closely).
-	Objective float64
-}
-
-// SolverScaleResult is the full sweep.
-type SolverScaleResult struct {
-	Points []SolverScalePoint
-}
-
-// solverScaleArm describes one solver configuration under measurement.
-type solverScaleArm struct {
-	name    string
-	kind    core.SolverKind
-	workers int
-}
-
-// solverScaleRun measures one cell: fresh instance, warm-up decide, then the
-// timed horizon with per-slot input drift.
-func solverScaleRun(cfg SolverScaleConfig, shape [2]int, density float64, arm solverScaleArm) (SolverScalePoint, error) {
-	pt := SolverScalePoint{N: shape[0], J: shape[1], Density: density, Solver: arm.name, Workers: arm.workers}
-	in, err := NewSolverScaleInstance(cfg.Seed, shape[0], shape[1], density)
-	if err != nil {
-		return pt, err
-	}
-	pt.ActivePairs = in.ActivePairs
-	ccfg := core.Config{V: cfg.V, Beta: cfg.Beta, WarmStart: true, Solver: arm.kind, SolverWorkers: arm.workers}
-	g, err := core.New(in.Cluster, ccfg)
-	if err != nil {
-		return pt, err
-	}
-	if _, err := g.Decide(0, in.State, in.Lengths); err != nil {
-		return pt, err
-	}
-
-	var act *model.Action
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for t := 1; t <= cfg.Slots; t++ {
-		if err := cfg.Context.Err(); err != nil {
-			return pt, err
-		}
-		in.Mutate()
-		if act, err = g.Decide(t, in.State, in.Lengths); err != nil {
-			return pt, fmt.Errorf("%s %dx%d slot %d: %w", arm.name, shape[0], shape[1], t, err)
-		}
-	}
-	total := time.Since(start)
-	runtime.ReadMemStats(&after)
-
-	pt.DecideMicros = total.Seconds() * 1e6 / float64(cfg.Slots)
-	pt.AllocsPerDecide = float64(after.Mallocs-before.Mallocs) / float64(cfg.Slots)
-	for i := range act.Process {
-		for j, h := range act.Process[i] {
-			pt.Objective += -in.Lengths.Local[i][j] * h
-		}
-		for k, b := range act.Busy[i] {
-			pt.Objective += cfg.V * in.State.Price[i] * in.Cluster.DataCenters[i].Servers[k].Power * b
-		}
-	}
-	return pt, nil
-}
-
-// SolverScale runs the solver-scale sweep: for each shape and density, the
-// monolithic, sparse, decomposed, and pooled-decomposed solvers decide the
-// same drifting slot sequence. Cells run sequentially — never in parallel —
-// because each one times solver work on the shared cores.
-func SolverScale(cfg SolverScaleConfig) (*SolverScaleResult, error) {
-	cfg = cfg.withDefaults()
-	arms := []solverScaleArm{
-		{"monolithic", core.SolverMonolithic, 1},
-		{"sparse", core.SolverSparse, 1},
-		{"decomposed", core.SolverDecomposed, 1},
-		{"decomposed-pool", core.SolverDecomposed, cfg.Workers},
-	}
-	res := &SolverScaleResult{}
-	for _, shape := range cfg.Shapes {
-		for _, density := range cfg.Densities {
-			for _, arm := range arms {
-				pt, err := solverScaleRun(cfg, shape, density, arm)
-				if err != nil {
-					return nil, err
-				}
-				res.Points = append(res.Points, pt)
-			}
-		}
-	}
-	return res, nil
 }

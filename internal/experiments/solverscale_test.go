@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestNewSolverScaleInstanceShape(t *testing.T) {
 	in, err := NewSolverScaleInstance(2012, 40, 20, 0.1)
@@ -42,48 +39,5 @@ func TestNewSolverScaleInstanceShape(t *testing.T) {
 	}
 	if after := active(); after != before {
 		t.Errorf("mutation changed active pairs: %d -> %d", before, after)
-	}
-}
-
-// TestSolverScaleSweep runs a miniature sweep and checks every arm produced a
-// sane measurement and all arms of a cell land on nearby objectives — the
-// solvers are interchangeable, not just individually fast.
-func TestSolverScaleSweep(t *testing.T) {
-	res, err := SolverScale(SolverScaleConfig{
-		Seed:      2012,
-		Shapes:    [][2]int{{12, 6}},
-		Densities: []float64{0.2},
-		Slots:     4,
-		Workers:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 4 {
-		t.Fatalf("got %d points, want 4 arms", len(res.Points))
-	}
-	names := map[string]bool{}
-	var ref float64
-	for x, pt := range res.Points {
-		names[pt.Solver] = true
-		if pt.DecideMicros <= 0 {
-			t.Errorf("%s: non-positive decide latency %v", pt.Solver, pt.DecideMicros)
-		}
-		if pt.AllocsPerDecide < 0 || math.IsNaN(pt.Objective) {
-			t.Errorf("%s: bad measurement %+v", pt.Solver, pt)
-		}
-		if x == 0 {
-			ref = pt.Objective
-			continue
-		}
-		scale := math.Max(1, math.Abs(ref))
-		if math.Abs(pt.Objective-ref)/scale > 0.01 {
-			t.Errorf("%s objective %v far from monolithic %v", pt.Solver, pt.Objective, ref)
-		}
-	}
-	for _, want := range []string{"monolithic", "sparse", "decomposed", "decomposed-pool"} {
-		if !names[want] {
-			t.Errorf("missing arm %q", want)
-		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"grefar/internal/model"
 	"grefar/internal/queue"
 	"grefar/internal/solve"
-	"grefar/internal/tariff"
 )
 
 // SolverObjectives holds the slot objective value each solver reached on one
@@ -29,12 +28,6 @@ type SolverObjectives struct {
 	// ProjGrad is the projected-gradient objective, using exact Euclidean
 	// projection onto the slot polytope via dual bisection.
 	ProjGrad float64
-	// Decomposed is the block-decomposed solver's objective (sharing ADMM
-	// over per-site subproblems plus a Frank-Wolfe polish), evaluated on the
-	// same dense objective as the monolithic solvers. NaN when the cluster
-	// has auxiliary resources or the tariff is non-linear (the decomposed
-	// solver rejects those configurations).
-	Decomposed float64
 	// MaxRelDiff is the largest pairwise relative disagreement among the
 	// applicable solvers.
 	MaxRelDiff float64
@@ -52,7 +45,6 @@ func (out *SolverObjectives) compare(tol float64) error {
 		{"frank-wolfe", out.FrankWolfe},
 		{"away-step frank-wolfe", out.FrankWolfeAway},
 		{"projected-gradient", out.ProjGrad},
-		{"decomposed", out.Decomposed},
 	}
 	for a := 0; a < len(vals); a++ {
 		if math.IsNaN(vals[a].v) {
@@ -120,46 +112,10 @@ func CrossCheckSolvers(c *model.Cluster, cfg core.Config, st *model.State, q que
 	out.FrankWolfeAway = frankWolfeSlot(c, st, cH, cB, hCap, true)
 	out.ProjGrad = projGradSlot(c, st, cH, cB, hCap)
 
-	out.Decomposed = math.NaN()
-	if decomposedApplies(c, cfg) {
-		x, err := core.SolveSlotDecomposed(c, cfg, st, q)
-		if err != nil {
-			return nil, fmt.Errorf("%w: decomposed solver failed: %v", ErrViolation, err)
-		}
-		l := newSlotVars(c)
-		if err := checkSlotFeasible(c, st, hCap, l, x); err != nil {
-			return out, fmt.Errorf("%w: decomposed iterate infeasible: %v", ErrViolation, err)
-		}
-		var v float64
-		for i := 0; i < c.N(); i++ {
-			for j := 0; j < c.J(); j++ {
-				v += cH[i][j] * x[l.hIndex(i, j)]
-			}
-			for k := 0; k < c.K(i); k++ {
-				v += cB[i][k] * x[l.bOff[i]+k]
-			}
-		}
-		out.Decomposed = v
-	}
-
 	if err := out.compare(tol); err != nil {
 		return out, err
 	}
 	return out, nil
-}
-
-// decomposedApplies reports whether the block-decomposed solver accepts this
-// configuration: no auxiliary resources and a linear (or absent) tariff.
-func decomposedApplies(c *model.Cluster, cfg core.Config) bool {
-	if c.Aux() > 0 {
-		return false
-	}
-	if cfg.Tariff != nil {
-		if _, linear := cfg.Tariff.(tariff.Linear); !linear {
-			return false
-		}
-	}
-	return true
 }
 
 // crossCheckQuadratic is the beta > 0 arm of CrossCheckSolvers: vanilla
@@ -200,17 +156,6 @@ func crossCheckQuadratic(c *model.Cluster, cfg core.Config, st *model.State, q q
 	pg := projGradQuadratic(c, st, obj, hCap)
 	out.ProjGrad = pg.Value
 
-	out.Decomposed = math.NaN()
-	var decX []float64
-	if decomposedApplies(c, cfg) {
-		x, err := core.SolveSlotDecomposed(c, cfg, st, q)
-		if err != nil {
-			return nil, fmt.Errorf("%w: decomposed solver failed: %v", ErrViolation, err)
-		}
-		decX = x
-		out.Decomposed = obj.Value(x)
-	}
-
 	for _, it := range []struct {
 		name string
 		x    []float64
@@ -218,48 +163,20 @@ func crossCheckQuadratic(c *model.Cluster, cfg core.Config, st *model.State, q q
 		{"frank-wolfe", van.X},
 		{"away-step frank-wolfe", away.X},
 		{"projected-gradient", pg.X},
-		{"decomposed", decX},
 	} {
-		if it.x == nil {
-			continue
-		}
 		if err := checkSlotFeasible(c, st, hCap, l, it.x); err != nil {
 			return out, fmt.Errorf("%w: %s iterate infeasible: %v", ErrViolation, it.name, err)
 		}
 	}
 
 	// Strict agreement between the linearly convergent, mechanically
-	// unrelated solvers: away-step Frank-Wolfe, projected gradient, and (when
-	// applicable) the ADMM-decomposed solver, whose away-step polish gives it
-	// the same convergence guarantee.
-	strict := []struct {
-		name string
-		v    float64
-	}{
-		{"away-step frank-wolfe", away.Value},
-		{"projected-gradient", pg.Value},
-		{"decomposed", out.Decomposed},
-	}
-	for a := 0; a < len(strict); a++ {
-		if math.IsNaN(strict[a].v) {
-			continue
-		}
-		for b := a + 1; b < len(strict); b++ {
-			if math.IsNaN(strict[b].v) {
-				continue
-			}
-			s := math.Max(1, math.Max(math.Abs(strict[a].v), math.Abs(strict[b].v)))
-			rel := math.Abs(strict[a].v-strict[b].v) / s
-			if rel > out.MaxRelDiff {
-				out.MaxRelDiff = rel
-			}
-			if rel > tol {
-				return out, fmt.Errorf("%w: solvers disagree: %s=%v vs %s=%v (relative diff %.3g > %.3g)",
-					ErrViolation, strict[a].name, strict[a].v, strict[b].name, strict[b].v, rel, tol)
-			}
-		}
-	}
+	// unrelated solvers: away-step Frank-Wolfe and projected gradient.
 	scale := math.Max(1, math.Max(math.Abs(away.Value), math.Abs(pg.Value)))
+	out.MaxRelDiff = math.Abs(away.Value-pg.Value) / scale
+	if out.MaxRelDiff > tol {
+		return out, fmt.Errorf("%w: solvers disagree: away-step frank-wolfe=%v vs projected-gradient=%v (relative diff %.3g > %.3g)",
+			ErrViolation, away.Value, pg.Value, out.MaxRelDiff, tol)
+	}
 
 	// Vanilla certificate check against the converged optimum.
 	best := math.Min(away.Value, pg.Value)

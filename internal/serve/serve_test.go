@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -116,6 +118,26 @@ func TestSessionTickAdmitsWithArrivalCap(t *testing.T) {
 // TestSessionCheckpointRestore runs 20 slots, checkpoints, restores into a
 // fresh session, runs 20 more, and requires the queue trajectory and tick
 // reports to match the uninterrupted 40-slot run exactly.
+// driveSession replays schedule[from:to] into s, one submit and one tick per
+// slot, and returns the tick reports and the post-tick queue trajectory.
+func driveSession(t *testing.T, s *Session, schedule [][]Job, from, to int) ([]TickReport, []queue.Lengths) {
+	t.Helper()
+	var reps []TickReport
+	var traj []queue.Lengths
+	for slot := from; slot < to; slot++ {
+		if _, err := s.Submit(schedule[slot]); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Tick(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, *rep)
+		traj = append(traj, s.Lengths())
+	}
+	return reps, traj
+}
+
 func TestSessionCheckpointRestore(t *testing.T) {
 	const slots, split = 40, 20
 	cfg := core.Config{V: 7.5, Beta: 100, WarmStart: true}
@@ -123,20 +145,7 @@ func TestSessionCheckpointRestore(t *testing.T) {
 
 	drive := func(s *Session, from, to int) ([]TickReport, []queue.Lengths) {
 		t.Helper()
-		var reps []TickReport
-		var traj []queue.Lengths
-		for slot := from; slot < to; slot++ {
-			if _, err := s.Submit(schedule[slot]); err != nil {
-				t.Fatal(err)
-			}
-			rep, err := s.Tick(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps = append(reps, *rep)
-			traj = append(traj, s.Lengths())
-		}
-		return reps, traj
+		return driveSession(t, s, schedule, from, to)
 	}
 
 	full, err := NewSession(testConfig(t, cfg))
@@ -177,6 +186,62 @@ func TestSessionCheckpointRestore(t *testing.T) {
 	}
 	if got, want := second.Submitted(), full.Submitted(); got != want {
 		t.Fatalf("lifetime submitted %v, want %v", got, want)
+	}
+}
+
+// TestSessionRestoresCommittedFixtures pins checkpoint compatibility across
+// format changes. Each fixture is the Checkpoint frame an earlier release
+// wrote at slot 20 of arrivalSchedule(40, 8) for the config below:
+// checkpoint-beta100.snap under the default solver, and
+// checkpoint-decomposed-beta100.snap under the ADMM-decomposed solver that
+// no longer exists, whose scheduler state also carries two per-account dual
+// vectors. gob skips fields SchedulerState no longer declares, so both must
+// load; the default one must then continue byte-identically to an
+// uninterrupted run.
+func TestSessionRestoresCommittedFixtures(t *testing.T) {
+	const slots, split = 40, 20
+	cfg := core.Config{V: 7.5, Beta: 100, WarmStart: true}
+	schedule := arrivalSchedule(slots, 8)
+
+	full, err := NewSession(testConfig(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantReps, wantTraj := driveSession(t, full, schedule, 0, slots)
+
+	for _, tc := range []struct {
+		file      string
+		identical bool
+	}{
+		{"checkpoint-beta100.snap", true},
+		{"checkpoint-decomposed-beta100.snap", false},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewSession(testConfig(t, cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Restore(bytes.NewReader(data)); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if s.Slot() != split {
+				t.Fatalf("restored at slot %d, want %d", s.Slot(), split)
+			}
+			gotReps, gotTraj := driveSession(t, s, schedule, split, slots)
+			if !tc.identical {
+				return
+			}
+			if !reflect.DeepEqual(gotTraj, wantTraj[split:]) {
+				t.Fatal("restored session's queue trajectory diverged from the uninterrupted run")
+			}
+			if !reflect.DeepEqual(gotReps, wantReps[split:]) {
+				t.Fatalf("restored session's tick reports diverged:\n got %+v\nwant %+v", gotReps, wantReps[split:])
+			}
+		})
 	}
 }
 

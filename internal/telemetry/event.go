@@ -30,10 +30,6 @@ const (
 	SolverFrankWolfe = "frank-wolfe"
 	// SolverProjGrad is the projected-gradient solver (lookahead baselines).
 	SolverProjGrad = "projected-gradient"
-	// SolverDecomposed is the block-decomposed slot solver: per-data-center
-	// subproblems coordinated by sharing ADMM, finished by a Frank-Wolfe
-	// polish.
-	SolverDecomposed = "decomposed"
 )
 
 // Warm-start outcomes used in SolveStats.Warm. One of these is recorded per
@@ -76,10 +72,6 @@ type SolveStats struct {
 	// (e.g. "away-step" Frank-Wolfe); empty for the vanilla method.
 	Variant string `json:"variant,omitempty"`
 
-	// Outer is the number of outer coordination rounds of a decomposed solve
-	// (the ADMM iterations); zero for monolithic solvers.
-	Outer int `json:"outer,omitempty"`
-
 	// Warm records this slot's warm-start outcome (WarmHit, WarmRepaired, or
 	// WarmFallback); empty when warm-starting is off.
 	Warm string `json:"warm,omitempty"`
@@ -106,12 +98,6 @@ type SolverOptions struct {
 	AwaySteps bool `json:"away_steps"`
 	// WarmStart reports whether cross-slot warm-starting is on.
 	WarmStart bool `json:"warm_start"`
-	// Solver names the configured solver kind when it departs from the
-	// automatic selection ("monolithic", "sparse", "decomposed").
-	Solver string `json:"solver,omitempty"`
-	// Workers is the configured block-solve worker count of the decomposed
-	// solver; zero (omitted) means serial.
-	Workers int `json:"workers,omitempty"`
 }
 
 // SlotEvent is the structured record one control-loop iteration emits.

@@ -133,34 +133,6 @@ func WithWarmStart(on bool) SchedulerOption {
 	return optionFunc(func(cfg *Config) { cfg.WarmStart = on })
 }
 
-// WithSolver selects the slot-solver implementation: SolverAuto (the
-// default monolithic dense path), SolverMonolithic (the same, pinned
-// explicitly), SolverSparse (the active-pair compact representation,
-// bit-identical decisions in O(active) work), or SolverDecomposed (per-data-
-// center block decomposition, see WithDecomposedSolver). The sparse kinds
-// require a cluster without auxiliary resources and a linear (or absent)
-// tariff; New rejects other combinations with ErrBadConfig.
-func WithSolver(kind core.SolverKind) SchedulerOption {
-	return optionFunc(func(cfg *Config) { cfg.Solver = kind })
-}
-
-// WithDecomposedSolver selects the block-decomposed slot solver: the beta > 0
-// slot decision splits into per-data-center subproblems coordinated by dual
-// prices on the fairness coupling, solved concurrently when worker pooling is
-// enabled (WithSolverWorkers) and finished by a monolithic polish, so the
-// decisions agree with the default solver to solver tolerance at a fraction
-// of the large-instance cost.
-func WithDecomposedSolver() SchedulerOption {
-	return WithSolver(core.SolverDecomposed)
-}
-
-// WithSolverWorkers bounds the concurrency of the decomposed solver's block
-// stage: n <= 1 solves the per-site blocks serially, larger values pool them
-// across n goroutines. Results are byte-identical at any worker count.
-func WithSolverWorkers(n int) SchedulerOption {
-	return optionFunc(func(cfg *Config) { cfg.SolverWorkers = n })
-}
-
 // WithSlots sets the simulation horizon t_end (required, > 0).
 func WithSlots(n int) SimOption {
 	return simOptionFunc(func(o *SimOptions) { o.Slots = n })
