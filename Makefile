@@ -28,14 +28,17 @@ race:
 # their kill/restart determinism when raced), the Decide allocation-budget
 # guard (which -race skips, so it runs plain here), race-enabled hollow
 # smokes (64 in-process agents, 5 slots, 5% killed mid-run — the degraded-mode
-# cycle end to end, once under the single controller and once under the
-# 2-partition control plane), a race-enabled rerun of the sparse solver suite
-# (the default slot solver, pinned bit-identical to the dense reference), and
-# a short fuzz smoke of the native fuzz targets, including the
-# snapshot-restore, wire-frame, and incremental-refresh surfaces.
+# cycle end to end, once with one controller partition and once with two), a
+# race-enabled rerun of the sparse solver suite (the default slot solver,
+# pinned bit-identical to the dense reference), and a short fuzz smoke of the
+# native fuzz targets, including the snapshot-restore, wire-frame, and
+# incremental-refresh surfaces. The benchmark harness under perfbench/ is its
+# own module, so the root build never compiles it; tier1 builds and vets it
+# so an API change that breaks the harness fails here.
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 ./internal/runner
 	$(GO) test -race -count=1 ./internal/serve/... ./cmd/grefar-serve
@@ -64,8 +67,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzServerFrame -fuzztime $(FUZZTIME) ./internal/transport
 
 # golden regenerates the committed golden traces — the healthy ones under
-# internal/invariant/testdata/golden and the degraded-mode chaos trace under
-# internal/controller/testdata — after an intentional behavior change.
+# internal/invariant/testdata/golden, the degraded-mode chaos trace under
+# internal/controller/testdata, and the partitioned trace under
+# internal/controlplane/testdata — after an intentional behavior change.
 # Inspect the diff before committing: every changed line is a behavior change.
 golden:
 	$(GO) test ./internal/invariant -run TestGoldenTraces -update

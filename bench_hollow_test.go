@@ -16,41 +16,15 @@ var hollowBenchSizes = []int{100, 500, 1000, 2000}
 
 // BenchmarkHollowSlot measures one real control-loop slot tick against a
 // hollow fleet of N in-process agents behind the multiplexed gob-over-TCP
-// wire: concurrent gather from N agents, the GreFar decision over N sites,
-// and the allocate scatter with ack settlement. This is the number ROADMAP's
+// wire with one controller partition: the gather from N agents batched per
+// connection, the GreFar decision over N sites, and the batched allocate
+// scatter with ack settlement. This is the number ROADMAP's
 // control-plane scale work is judged by — BENCH_distributed.json tracks it
 // per fleet size, and make bench-compare fails on >15% regressions.
 func BenchmarkHollowSlot(b *testing.B) {
 	for _, n := range hollowBenchSizes {
 		b.Run(fmt.Sprintf("agents=%d", n), func(b *testing.B) {
-			in, err := hollow.NewScaleInputs(2012, n, 4096)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fleet, err := hollow.NewFleet(in, hollow.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			g, err := core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
-			if err != nil {
-				fleet.Close()
-				b.Fatal(err)
-			}
-			ct, err := controller.New(in.Cluster, g, fleet.Conns(),
-				controller.WithFailurePolicy(controller.Degrade))
-			if err != nil {
-				fleet.Close()
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := i % 4096
-				if _, _, _, err := ct.RunSlot(t, in.Workload.Arrivals(t)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			fleet.Close()
+			benchFleetSlot(b, n, 1)
 		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"grefar/internal/controller"
-	"grefar/internal/controlplane"
 	"grefar/internal/core"
 	"grefar/internal/hollow"
 	"grefar/internal/sched"
@@ -13,7 +12,7 @@ import (
 
 // partitionedBenchCells is the (fleet size, partition count) sweep recorded
 // in BENCH_distributed.json. BenchmarkHollowSlot at the same agent counts is
-// the single-controller baseline these cells are read against.
+// the one-partition baseline these cells are read against.
 var partitionedBenchCells = []struct{ agents, parts int }{
 	{500, 4},
 	{1000, 4},
@@ -31,34 +30,39 @@ var partitionedBenchCells = []struct{ agents, parts int }{
 func BenchmarkPartitionedSlot(b *testing.B) {
 	for _, cell := range partitionedBenchCells {
 		b.Run(fmt.Sprintf("agents=%d/parts=%d", cell.agents, cell.parts), func(b *testing.B) {
-			in, err := hollow.NewScaleInputs(2012, cell.agents, 4096)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fleet, err := hollow.NewFleet(in, hollow.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pl, err := controlplane.New(in.Cluster, fleet.Conns(), controlplane.Config{
-				Partitions: cell.parts,
-				NewScheduler: func() (sched.Scheduler, error) {
-					return core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
-				},
-				Policy: controller.Degrade,
-			})
-			if err != nil {
-				fleet.Close()
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := i % 4096
-				if _, _, _, err := pl.RunSlot(t, in.Workload.Arrivals(t)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			fleet.Close()
+			benchFleetSlot(b, cell.agents, cell.parts)
 		})
 	}
+}
+
+// benchFleetSlot times one Degrade-policy slot tick of a parts-partition
+// controller against a hollow fleet of the given size.
+func benchFleetSlot(b *testing.B, agents, parts int) {
+	in, err := hollow.NewScaleInputs(2012, agents, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fleet, err := hollow.NewFleet(in, hollow.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fleet.Close()
+	ct, err := controller.NewPartitioned(in.Cluster, fleet.Conns(), controller.Config{
+		Partitions: parts,
+		NewScheduler: func() (sched.Scheduler, error) {
+			return core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
+		},
+		Policy: controller.Degrade,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := i % 4096
+		if _, _, _, err := ct.RunSlot(t, in.Workload.Arrivals(t)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
 }

@@ -56,7 +56,7 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
-		srv := &http.Server{Handler: a.Metrics}
+		srv := telemetry.NewHTTPServer(a.Metrics)
 		go func() { _ = srv.Serve(lis) }()
 		defer srv.Close()
 		fmt.Printf("grefar-agent: metrics on http://%s/metrics\n", lis.Addr())

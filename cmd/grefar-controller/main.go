@@ -12,10 +12,11 @@
 //	                  [-policy grefar|always] [-partitions 1] \
 //	                  [-metrics-addr 127.0.0.1:9090] [-pprof]
 //
-// With -partitions > 1 the control loop runs as that many concurrent
-// controller partitions over disjoint data-center ranges, committing
-// optimistically against a shared queue board; per-partition commit and
-// conflict counters are served on /metrics.
+// -partitions P (1 to the number of agents) runs the control loop as P
+// concurrent controller partitions over disjoint data-center ranges,
+// committing optimistically against a shared queue board; P=1 is the
+// single controller. Per-partition commit and conflict counters are served
+// on /metrics.
 //
 // The seed must match the agents' so the controller's workload lines up with
 // the world the agents simulate. Agent connections redial with capped
@@ -38,11 +39,9 @@ import (
 	"time"
 
 	"grefar/internal/controller"
-	"grefar/internal/controlplane"
 	"grefar/internal/core"
 	"grefar/internal/model"
 	"grefar/internal/sched"
-	"grefar/internal/sim"
 	"grefar/internal/telemetry"
 	"grefar/internal/transport"
 	"grefar/internal/workload"
@@ -57,18 +56,12 @@ func main() {
 	}
 }
 
-// loopRunner is the control loop the app drives: the single controller and
-// the partitioned plane expose the same run surface.
-type loopRunner interface {
-	RunContext(ctx context.Context, slots int, wl workload.Generator) (*sim.Result, error)
-}
-
 // app is a fully wired controller run: the control loop plus its
 // observability mux. Tests build one with buildApp and mount Metrics on an
 // httptest server instead of a real listener.
 type app struct {
 	cluster *model.Cluster
-	ctrl    loopRunner
+	ctrl    *controller.Controller
 	// Metrics serves /metrics, /healthz, and optionally /debug/pprof/.
 	Metrics http.Handler
 
@@ -113,7 +106,7 @@ func buildApp(args []string) (*app, error) {
 	slots := fs.Int("slots", 2000, "horizon in hourly slots")
 	seed := fs.Int64("seed", 2012, "workload seed (must match the agents)")
 	policy := fs.String("policy", "grefar", "scheduling policy: grefar or always")
-	partitions := fs.Int("partitions", 1, "controller partitions (>1 runs the partitioned shared-state control plane)")
+	partitions := fs.Int("partitions", 1, "controller partitions, 1 to the number of agents (>1 runs concurrent partitions against a shared queue board)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-RPC timeout")
 	retries := fs.Int("retries", 2, "redial attempts per RPC after a transport failure (with capped exponential backoff)")
 	metricsAddr := fs.String("metrics-addr", "", "address to serve /metrics and /healthz on (empty disables)")
@@ -133,6 +126,9 @@ func buildApp(args []string) (*app, error) {
 	addrs := strings.Split(*agents, ",")
 	if *agents == "" || len(addrs) != c.N() {
 		return nil, fmt.Errorf("need exactly %d agent addresses via -agents, got %q", c.N(), *agents)
+	}
+	if *partitions < 1 || *partitions > len(addrs) {
+		return nil, fmt.Errorf("-partitions %d outside [1,%d]", *partitions, len(addrs))
 	}
 
 	reg := telemetry.NewRegistry()
@@ -170,9 +166,9 @@ func buildApp(args []string) (*app, error) {
 		conns[i] = cli
 	}
 
-	// factory builds one scheduler per consumer. Only the first instance gets
-	// the decision observer, so a partitioned run emits one scheduler event
-	// stream per slot instead of one per partition.
+	// factory builds one scheduler per partition. Only the first instance
+	// gets the decision observer, so a partitioned run emits one scheduler
+	// event stream per slot instead of one per partition.
 	built := 0
 	factory := func() (sched.Scheduler, error) {
 		built++
@@ -194,29 +190,15 @@ func buildApp(args []string) (*app, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	if *partitions > 1 {
-		a.ctrl, err = controlplane.New(c, conns, controlplane.Config{
-			Partitions:   *partitions,
-			NewScheduler: factory,
-			Policy:       policyVal,
-			SuspectAfter: *suspectAfter,
-			DeadAfter:    *deadAfter,
-			Observer:     obs,
-			Registry:     reg,
-		})
-	} else {
-		var s sched.Scheduler
-		s, err = factory()
-		if err != nil {
-			return nil, err
-		}
-		a.ctrl, err = controller.New(c, s, conns,
-			controller.WithObserver(obs),
-			controller.WithFailurePolicy(policyVal),
-			controller.WithHealthThresholds(*suspectAfter, *deadAfter),
-			controller.WithHealthMetrics(reg),
-		)
-	}
+	a.ctrl, err = controller.NewPartitioned(c, conns, controller.Config{
+		Partitions:   *partitions,
+		NewScheduler: factory,
+		Policy:       policyVal,
+		SuspectAfter: *suspectAfter,
+		DeadAfter:    *deadAfter,
+		Observer:     obs,
+		Registry:     reg,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +218,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
-		srv := &http.Server{Handler: a.Metrics}
+		srv := telemetry.NewHTTPServer(a.Metrics)
 		go func() { _ = srv.Serve(lis) }()
 		defer srv.Close()
 		fmt.Fprintf(out, "metrics on http://%s/metrics\n", lis.Addr())

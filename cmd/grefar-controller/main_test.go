@@ -94,6 +94,24 @@ func TestControllerMainValidation(t *testing.T) {
 	}
 }
 
+// TestControllerMainRejectsBadPartitions pins the -partitions range: a
+// count outside [1, number of agents] is a flag error, reported before any
+// agent is dialed, never a silent fallback to one partition.
+func TestControllerMainRejectsBadPartitions(t *testing.T) {
+	agents := startAgents(t, 7, 64)
+	for _, p := range []string{"0", "-1", "4"} {
+		err := run(context.Background(), []string{"-agents", agents, "-slots", "4", "-partitions", p}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "-partitions") {
+			t.Errorf("-partitions %s: err = %v, want a -partitions range error", p, err)
+		}
+	}
+	for _, p := range []string{"1", "3"} {
+		if err := run(context.Background(), []string{"-agents", agents, "-slots", "4", "-partitions", p}, io.Discard); err != nil {
+			t.Errorf("-partitions %s: %v", p, err)
+		}
+	}
+}
+
 func TestControllerMainCanceledContext(t *testing.T) {
 	agents := startAgents(t, 7, 64)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -17,10 +17,11 @@
 // mask -> probe -> resync -> rejoin cycle; the invariant checker (-check,
 // default on) verifies every applied slot. With -metrics, the controller's
 // health gauges, RTT histograms, and slot telemetry are served on /metrics.
-// With -partitions > 1 the fleet is driven by the partitioned control plane
-// — concurrent per-partition gather/decide/scatter with optimistic commits
-// against the shared queue board — and the run report includes each
-// partition's commit/conflict counters.
+// -partitions P splits the fleet among P concurrent controller partitions —
+// per-partition gather/decide/scatter with optimistic commits against the
+// shared queue board — and the run report includes each partition's
+// commit/conflict counters. At every P, gather and scatter are batched per
+// multiplexed connection.
 package main
 
 import (
@@ -36,22 +37,12 @@ import (
 	"time"
 
 	"grefar/internal/controller"
-	"grefar/internal/controlplane"
 	"grefar/internal/core"
 	"grefar/internal/hollow"
 	"grefar/internal/invariant"
-	"grefar/internal/model"
 	"grefar/internal/sched"
 	"grefar/internal/telemetry"
-	"grefar/internal/transport"
 )
-
-// slotDriver is the slice of the control loop the harness drives: the single
-// controller and the partitioned plane both satisfy it.
-type slotDriver interface {
-	RunSlotContext(ctx context.Context, t int, arrivals []int) (*model.Action, *model.State, []transport.AllocateAck, error)
-	Health() []controller.AgentHealth
-}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -68,7 +59,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	slots := fs.Int("slots", 60, "horizon in slots")
 	seed := fs.Int64("seed", 2012, "seed for the synthetic workload")
 	conns := fs.Int("conns", 0, "multiplexed client connections carrying the fleet's traffic (0 = default)")
-	partitions := fs.Int("partitions", 1, "controller partitions (>1 drives the fleet with the partitioned control plane)")
+	partitions := fs.Int("partitions", 1, "controller partitions, 1 to the number of agents (>1 runs concurrent partitions against a shared queue board)")
 	killFrac := fs.Float64("kill-frac", 0, "fraction of agents killed mid-run (0 disables the outage)")
 	killAt := fs.Int("kill-at", 0, "slot the outage starts (default slots/3)")
 	reviveAt := fs.Int("revive-at", 0, "slot the killed agents come back (default 2*slots/3)")
@@ -116,53 +107,29 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ck = invariant.NewChecker(in.Cluster, invariant.CheckerOptions{})
 		obs = append(obs, ck)
 	}
-	var ct slotDriver
-	var plane *controlplane.Plane
-	if *partitions > 1 {
-		plane, err = controlplane.New(in.Cluster, fleet.Conns(), controlplane.Config{
-			Partitions: *partitions,
-			NewScheduler: func() (sched.Scheduler, error) {
-				return core.New(in.Cluster, core.Config{V: *v, Beta: *beta})
-			},
-			Policy:   controller.Degrade,
-			Observer: telemetry.Multi(obs...),
-			Registry: reg,
-		})
-		if err != nil {
-			return err
-		}
-		ct = plane
-	} else {
-		g, err := core.New(in.Cluster, core.Config{V: *v, Beta: *beta})
-		if err != nil {
-			return err
-		}
-		ctrl, err := controller.New(in.Cluster, g, fleet.Conns(),
-			controller.WithObserver(telemetry.Multi(obs...)),
-			controller.WithFailurePolicy(controller.Degrade),
-			controller.WithHealthMetrics(reg),
-		)
-		if err != nil {
-			return err
-		}
-		ct = ctrl
+	ct, err := controller.NewPartitioned(in.Cluster, fleet.Conns(), controller.Config{
+		Partitions: *partitions,
+		NewScheduler: func() (sched.Scheduler, error) {
+			return core.New(in.Cluster, core.Config{V: *v, Beta: *beta})
+		},
+		Policy:   controller.Degrade,
+		Observer: telemetry.Multi(obs...),
+		Registry: reg,
+	})
+	if err != nil {
+		return err
 	}
 
 	var metricsSrv *http.Server
 	if *metricsAddr != "" {
-		metricsSrv = &http.Server{
-			Addr:    *metricsAddr,
-			Handler: telemetry.NewMux(reg, telemetry.MuxOptions{EnablePprof: *pprofOn}),
-		}
+		metricsSrv = telemetry.NewHTTPServer(telemetry.NewMux(reg, telemetry.MuxOptions{EnablePprof: *pprofOn}))
+		metricsSrv.Addr = *metricsAddr
 		go metricsSrv.ListenAndServe()
 		defer metricsSrv.Close()
 	}
 
 	killed := killSet(*agents, *killFrac)
-	fmt.Fprintf(out, "hollow fleet: %d agents on %s, %d slots", fleet.N(), fleet.Addr(), *slots)
-	if *partitions > 1 {
-		fmt.Fprintf(out, ", %d controller partitions", *partitions)
-	}
+	fmt.Fprintf(out, "hollow fleet: %d agents on %s, %d slots, %d controller partition(s)", fleet.N(), fleet.Addr(), *slots, *partitions)
 	if len(killed) > 0 {
 		fmt.Fprintf(out, ", killing %d agents over [%d,%d)", len(killed), *killAt, *reviveAt)
 	}
@@ -230,11 +197,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ticks[len(ticks)/2].Round(10*time.Microsecond), ticks[(len(ticks)*99)/100].Round(10*time.Microsecond))
 	fmt.Fprintf(out, "degraded slots %d; energy/slot %.1f; final healthy %d/%d\n",
 		degraded, energy/float64(*slots), healthy, fleet.N())
-	if plane != nil {
-		for _, st := range plane.Stats() {
-			fmt.Fprintf(out, "partition %d: %d agents, %d commits, %d conflicts, %d forced\n",
-				st.Partition, st.Owned, st.Commits, st.Conflicts, st.Forced)
-		}
+	for _, st := range ct.Stats() {
+		fmt.Fprintf(out, "partition %d: %d agents, %d commits, %d conflicts, %d forced\n",
+			st.Partition, st.Owned, st.Commits, st.Conflicts, st.Forced)
 	}
 	if *check {
 		fmt.Fprintln(out, "invariant checker: ok on every applied slot")

@@ -34,6 +34,7 @@ import (
 	"grefar"
 	"grefar/internal/serve"
 	"grefar/internal/serve/snapshot"
+	"grefar/internal/telemetry"
 )
 
 func main() {
@@ -63,8 +64,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: a.Server}
-	go func() { _ = srv.Serve(lis) }()
+	srv := a.serveHTTP(lis)
 	defer srv.Close()
 	fmt.Printf("grefar-serve: serving on http://%s (slot %d)\n", lis.Addr(), a.Server.Session().Slot())
 
@@ -90,6 +90,14 @@ type app struct {
 	listen    string
 	tickEvery time.Duration
 	hasStore  bool
+}
+
+// serveHTTP serves the daemon's endpoints on lis in the background, with the
+// shared read and idle timeouts.
+func (a *app) serveHTTP(lis net.Listener) *http.Server {
+	srv := telemetry.NewHTTPServer(a.Server)
+	go func() { _ = srv.Serve(lis) }()
+	return srv
 }
 
 // tickLoop executes one slot per -tick interval until the context ends.

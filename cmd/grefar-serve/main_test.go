@@ -4,13 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"grefar"
+	"grefar/internal/telemetry"
 )
 
 // e2eSchedule is the deterministic ingest stream for the end-to-end test:
@@ -212,5 +215,63 @@ func TestServeStatusAndMetrics(t *testing.T) {
 		if !strings.Contains(string(metrics), fam) {
 			t.Fatalf("metrics missing %q", fam)
 		}
+	}
+}
+
+// TestServeDropsTricklingHeaders checks the daemon's read timeout: a client
+// that sends its request headers one line at a time, never finishing them,
+// is disconnected once telemetry.HTTPReadHeaderTimeout has passed instead
+// of holding a connection open for as long as it keeps trickling.
+func TestServeDropsTricklingHeaders(t *testing.T) {
+	t.Parallel()
+	a, err := newApp([]string{"-horizon", "16", "-snapshot-every", "0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := a.serveHTTP(lis)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /v1/status HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	limit := 3 * telemetry.HTTPReadHeaderTimeout
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		tick := time.NewTicker(250 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if _, err := io.WriteString(conn, "X-Trickle: 1\r\n"); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	_ = conn.SetReadDeadline(start.Add(limit))
+	n, err := conn.Read(make([]byte, 512))
+	elapsed := time.Since(start)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open after %v of trickled headers", elapsed)
+	}
+	if err == nil {
+		t.Fatalf("server answered an unfinished request after %v (%d bytes)", elapsed, n)
+	}
+	if elapsed < telemetry.HTTPReadHeaderTimeout/2 {
+		t.Fatalf("connection dropped after %v, before the header timeout %v", elapsed, telemetry.HTTPReadHeaderTimeout)
 	}
 }

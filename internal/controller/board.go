@@ -1,4 +1,4 @@
-package controlplane
+package controller
 
 import (
 	"sync"
@@ -6,11 +6,11 @@ import (
 	"grefar/internal/queue"
 )
 
-// board is the shared-state heart of the partitioned control plane: the
+// board is the shared-state heart of the partitioned control loop: the
 // authoritative central ledgers Q_j plus a per-row version and a running
 // claim total for the slot in flight. Partitions never pop the ledgers
 // themselves — they snapshot the claim-reduced lengths, decide against them,
-// and commit a claim; the plane executes the merged pops once, centrally,
+// and commit a claim; the controller executes the merged pops once, centrally,
 // after every partition has committed. That keeps the realized routing equal
 // to the data-center-order consumption of the merged nominal route, which is
 // exactly what the invariant checker's flow rules demand.
@@ -105,7 +105,7 @@ func (b *board) resetClaims() {
 	b.mu.Unlock()
 }
 
-// lens returns the true ledger lengths (no claim reduction) — the slot-initial
+// lensUnclaimed returns the true ledger lengths (no claim reduction) — the slot-initial
 // central backlog used for state assembly, telemetry, and deterministic mode.
 func (b *board) lensUnclaimed() []float64 {
 	out := make([]float64, len(b.ledgers))

@@ -13,6 +13,7 @@ import (
 	"grefar/internal/agent"
 	"grefar/internal/core"
 	"grefar/internal/invariant"
+	"grefar/internal/sched"
 	"grefar/internal/sim"
 	"grefar/internal/telemetry"
 	"grefar/internal/transport"
@@ -43,8 +44,9 @@ func chaosPlan() *chaos.Plan {
 // runChaosTrace runs the reference workload under the Degrade policy with the
 // plan's faults injected on every agent connection, the invariant checker
 // verifying every applied slot, and a trace recorder pinning the event
-// stream. It returns the serialized JSONL trace and the controller.
-func runChaosTrace(t *testing.T, plan *chaos.Plan, reg *telemetry.Registry) ([]byte, *Controller) {
+// stream, on a deterministic-mode controller with the given partition count.
+// It returns the serialized JSONL trace and the controller.
+func runChaosTrace(t *testing.T, plan *chaos.Plan, reg *telemetry.Registry, parts int) ([]byte, *Controller) {
 	t.Helper()
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
@@ -66,20 +68,18 @@ func runChaosTrace(t *testing.T, plan *chaos.Plan, reg *telemetry.Registry) ([]b
 		}
 		conns[i] = plan.Wrap(localConn{a: a}, i)
 	}
-	g, err := core.New(in.Cluster, core.Config{V: 7.5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rec := &invariant.TraceRecorder{}
 	ck := invariant.NewChecker(in.Cluster, invariant.CheckerOptions{})
-	opts := []Option{
-		WithObserver(telemetry.Multi(rec, ck)),
-		WithFailurePolicy(Degrade),
-	}
-	if reg != nil {
-		opts = append(opts, WithHealthMetrics(reg))
-	}
-	ct, err := New(in.Cluster, g, conns, opts...)
+	ct, err := NewPartitioned(in.Cluster, conns, Config{
+		Partitions:    parts,
+		Deterministic: true,
+		NewScheduler: func() (sched.Scheduler, error) {
+			return core.New(in.Cluster, core.Config{V: 7.5})
+		},
+		Policy:   Degrade,
+		Observer: telemetry.Multi(rec, ck),
+		Registry: reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,17 +108,17 @@ func runChaosTrace(t *testing.T, plan *chaos.Plan, reg *telemetry.Registry) ([]b
 // recover to Healthy within a bounded number of slots after their windows end.
 func TestDegradedModeSurvivesChaos(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	trace, ct := runChaosTrace(t, chaosPlan(), reg)
+	trace, ct := runChaosTrace(t, chaosPlan(), reg, 1)
 
 	for i, h := range ct.Health() {
 		if h != Healthy {
 			t.Errorf("agent %d ended the run %v, want healthy", i, h)
 		}
 	}
-	if v := ct.metrics.degraded.Value(); v < 10 {
+	if v := ct.tracker.metrics.degraded.Value(); v < 10 {
 		t.Errorf("degraded-slot counter = %v, want >= 10 (two 6-slot windows hit)", v)
 	}
-	if v := ct.metrics.failures.With(dcLabel(1)).Value(); v == 0 {
+	if v := ct.tracker.metrics.failures.With(dcLabel(1)).Value(); v == 0 {
 		t.Error("agent 1 failure counter never incremented")
 	}
 
@@ -193,10 +193,13 @@ func containsInt(s []int, v int) bool {
 }
 
 // TestGoldenChaosTrace pins the full event stream of the chaos run: same
-// seed, same faults, byte-identical trace, run after run. Regenerate
-// deliberately with `go test ./internal/controller -run TestGoldenChaos -update`.
+// seed, same faults, byte-identical trace, run after run — and for a
+// deterministic-mode controller with 1, 2 or 3 partitions alike, since the
+// partitions drive the shared health machine and shadow ledgers exactly as
+// one partition does. Regenerate deliberately with
+// `go test ./internal/controller -run TestGoldenChaos -update`.
 func TestGoldenChaosTrace(t *testing.T) {
-	got, _ := runChaosTrace(t, chaosPlan(), nil)
+	got, _ := runChaosTrace(t, chaosPlan(), nil, 1)
 	path := filepath.Join("testdata", "golden_chaos.jsonl")
 	if *updateChaosGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -216,10 +219,19 @@ func TestGoldenChaosTrace(t *testing.T) {
 		t.Errorf("chaos trace deviates from %s:\n%s", path, diff)
 	}
 
-	// And the run must be deterministic in-process too.
-	again, _ := runChaosTrace(t, chaosPlan(), nil)
-	if diff := invariant.DiffJSONL(again, got); diff != "" {
-		t.Errorf("same-seed chaos reruns diverge:\n%s", diff)
+	// And the run must be deterministic in-process too, at every partition
+	// count.
+	for parts := 1; parts <= 3; parts++ {
+		again, ct := runChaosTrace(t, chaosPlan(), nil, parts)
+		if diff := invariant.DiffJSONL(again, got); diff != "" {
+			t.Errorf("P=%d chaos rerun diverges:\n%s", parts, diff)
+		}
+		for _, st := range ct.Stats() {
+			if st.Commits != chaosSlots || st.Conflicts != 0 || st.Forced != 0 {
+				t.Errorf("P=%d partition %d: commits=%d conflicts=%d forced=%d, want %d/0/0",
+					parts, st.Partition, st.Commits, st.Conflicts, st.Forced, chaosSlots)
+			}
+		}
 	}
 }
 

@@ -8,14 +8,11 @@ import (
 	"time"
 
 	"grefar/internal/controller"
-	"grefar/internal/controlplane"
 	"grefar/internal/core"
 	"grefar/internal/hollow"
 	"grefar/internal/invariant"
-	"grefar/internal/model"
 	"grefar/internal/sched"
 	"grefar/internal/telemetry"
-	"grefar/internal/transport"
 	"grefar/internal/transport/chaos"
 )
 
@@ -160,8 +157,8 @@ func scaleChaosPlan(cfg ScaleConfig, n int) *chaos.Plan {
 }
 
 // scaleRun measures one cell: build the fleet, run the horizon, report the
-// point. plan nil is the fault-free variant; parts > 1 drives the fleet with
-// the partitioned control plane instead of the single controller.
+// point. plan nil is the fault-free variant; parts is the controller
+// partition count.
 func scaleRun(cfg ScaleConfig, n, parts int, plan *chaos.Plan) (ScalePoint, error) {
 	pt := ScalePoint{Agents: n, Slots: cfg.Slots, Chaos: plan != nil, Partitions: parts}
 	in, err := hollow.NewScaleInputs(cfg.Seed, n, cfg.Slots)
@@ -193,37 +190,16 @@ func scaleRun(cfg ScaleConfig, n, parts int, plan *chaos.Plan) (ScalePoint, erro
 	if cfg.Observer != nil {
 		obs = append(obs, cfg.Observer)
 	}
-	type slotDriver interface {
-		RunSlotContext(ctx context.Context, t int, arrivals []int) (*model.Action, *model.State, []transport.AllocateAck, error)
-	}
-	var ct slotDriver
-	var plane *controlplane.Plane
-	if parts > 1 {
-		plane, err = controlplane.New(in.Cluster, conns, controlplane.Config{
-			Partitions: parts,
-			NewScheduler: func() (sched.Scheduler, error) {
-				return core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
-			},
-			Policy:   controller.Degrade,
-			Observer: telemetry.Multi(obs...),
-		})
-		if err != nil {
-			return pt, err
-		}
-		ct = plane
-	} else {
-		g, err := core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
-		if err != nil {
-			return pt, err
-		}
-		ctrl, err := controller.New(in.Cluster, g, conns,
-			controller.WithObserver(telemetry.Multi(obs...)),
-			controller.WithFailurePolicy(controller.Degrade),
-		)
-		if err != nil {
-			return pt, err
-		}
-		ct = ctrl
+	ct, err := controller.NewPartitioned(in.Cluster, conns, controller.Config{
+		Partitions: parts,
+		NewScheduler: func() (sched.Scheduler, error) {
+			return core.New(in.Cluster, core.Config{V: 7.5, Beta: 100})
+		},
+		Policy:   controller.Degrade,
+		Observer: telemetry.Multi(obs...),
+	})
+	if err != nil {
+		return pt, err
 	}
 
 	ticks := make([]time.Duration, cfg.Slots)
@@ -258,12 +234,10 @@ func scaleRun(cfg ScaleConfig, n, parts int, plan *chaos.Plan) (ScalePoint, erro
 	pt.DegradedSlots = col.degraded
 	pt.EnergyPerSlot = col.energy / float64(cfg.Slots)
 	pt.FinalBacklog = col.backlog
-	if plane != nil {
-		for _, st := range plane.Stats() {
-			pt.Conflicts += st.Conflicts
-			pt.Retries += st.Retries
-			pt.ForcedCommits += st.Forced
-		}
+	for _, st := range ct.Stats() {
+		pt.Conflicts += st.Conflicts
+		pt.Retries += st.Retries
+		pt.ForcedCommits += st.Forced
 	}
 	return pt, nil
 }

@@ -3,7 +3,31 @@ package telemetry
 import (
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
+
+// The read and idle limits of every GreFar daemon's HTTP server. A client
+// that trickles its request headers is disconnected after
+// HTTPReadHeaderTimeout; HTTPReadTimeout bounds the whole request read and
+// leaves room for a maximal (8 MiB) JSONL submit over a slow link; idle
+// keep-alive connections close after HTTPIdleTimeout. There is no write
+// timeout: a pprof CPU profile streams for as long as it was asked to run.
+const (
+	HTTPReadHeaderTimeout = 5 * time.Second
+	HTTPReadTimeout       = 2 * time.Minute
+	HTTPIdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the server a daemon mounts h on, with the read and
+// idle limits above.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: HTTPReadHeaderTimeout,
+		ReadTimeout:       HTTPReadTimeout,
+		IdleTimeout:       HTTPIdleTimeout,
+	}
+}
 
 // ServeHTTP renders the registry in Prometheus text exposition format,
 // making *Registry an http.Handler for /metrics.
